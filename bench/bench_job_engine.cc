@@ -14,9 +14,17 @@
  *
  * Rows (all gated by scripts/check_bench_regression.py):
  *   sweep_jobs_per_sec      sweep points retired per second (engine)
+ *   serial_jobs_per_sec     sweep points retired per second (serial
+ *                           hand-rolled loop)
+ *   scratch_builds_per_sec  systems built and frozen from scratch per
+ *                           second
  *   concurrent_over_serial  engine rate over hand-rolled-loop rate
  *   blueprint_over_scratch  constructions/sec from blueprint over
  *                           constructions/sec from scratch
+ *
+ * The two ratios fall whenever the scratch build gets cheaper, since
+ * that build is the work the blueprint amortizes; the absolute
+ * serial and scratch rows record such a gain as one.
  */
 #include <cstdio>
 #include <memory>
@@ -189,6 +197,9 @@ main(int argc, char **argv)
                 scratch_build_s, blueprint_build_s, builds, build_speedup);
 
     report.higher_is_better("sweep_jobs_per_sec", jobs_per_sec);
+    report.higher_is_better("serial_jobs_per_sec", serial_jobs_per_sec);
+    report.higher_is_better("scratch_builds_per_sec",
+                            builds / scratch_build_s);
     report.higher_is_better("concurrent_over_serial", speedup);
     report.higher_is_better("blueprint_over_scratch", build_speedup);
     report.write_if_requested(cli);

@@ -20,17 +20,20 @@
  *    a router's table probes stay in its own cache/NUMA lines.
  *
  * The table is immutable once built: there is no insert, erase, or
- * tombstone — mutation belongs to the map form the owner keeps during
- * construction and drops at freeze time.
+ * tombstone. Construction goes through FlatTableBuilder, an
+ * append-only vector of (key, option) records that is sorted, merged
+ * in place and copied into the table, then released.
  *
  * The precomputed per-entry total weight uses the same left-to-right
  * accumulation as Rng::pick_weighted's std::accumulate, so a weighted
- * pick over a frozen entry draws bit-for-bit the same result as the
- * map-backed path did (the determinism contract of the freeze).
+ * pick over a frozen entry draws bit-for-bit the same result as a
+ * per-key accumulation of the same add() sequence would (the
+ * determinism contract of the freeze).
  */
 #ifndef HORNET_COMMON_FLAT_TABLE_H
 #define HORNET_COMMON_FLAT_TABLE_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -81,9 +84,10 @@ struct FlatEntry
 
 /**
  * Recompute a FlatEntry's total weight from its options, left to
- * right — the shared helper both the frozen build and the map-backed
- * building-phase lookups use, so the two paths are bitwise identical.
- * Option types without a `weight` member total 0.0.
+ * right — the same accumulation as Rng::pick_weighted's
+ * std::accumulate, so a frozen total is bitwise the sum a per-pick
+ * accumulation would give. Option types without a `weight` member
+ * total 0.0.
  */
 template <typename V>
 inline double
@@ -179,13 +183,26 @@ class FlatTable
     void
     add_entry(const K &key, const V *vals, std::size_t n)
     {
+        add_entry_from(key, n,
+                       [vals](std::size_t i) -> const V & { return vals[i]; });
+    }
+
+    /**
+     * add_entry() reading option @p i from @p get(i) instead of a
+     * contiguous array (FlatTableBuilder's options sit inside its
+     * (key, option) records).
+     */
+    template <typename Get>
+    void
+    add_entry_from(const K &key, std::size_t n, Get get)
+    {
         if (slots_ == nullptr)
             panic("FlatTable: add_entry before begin_build");
         if (keys_left_ == 0 || n > values_left_)
             panic("FlatTable: add_entry overflows the declared build size");
         V *dst = values_ + values_cursor_;
         for (std::size_t i = 0; i < n; ++i)
-            dst[i] = vals[i];
+            dst[i] = get(i);
         Entry &e = entries_[num_entries_];
         e.data = dst;
         e.count = static_cast<std::uint32_t>(n);
@@ -210,10 +227,9 @@ class FlatTable
     }
 
     /**
-     * One-shot build from the mutable map form the owner kept during
-     * construction. Entry order follows the map's iteration order
-     * (deterministic for a given insertion sequence), which only
-     * affects slab layout, never lookup results.
+     * One-shot build from a map of option lists. Entry order follows
+     * the map's iteration order, which only affects slab layout, never
+     * lookup results.
      */
     void
     build(const std::unordered_map<K, std::vector<V>, H> &src,
@@ -287,6 +303,116 @@ class FlatTable
     std::uint32_t max_probe_ = 0;
     /** Fallback storage when no placement arena was supplied. */
     std::unique_ptr<Arena> own_arena_;
+};
+
+/**
+ * The construction-side form of a FlatTable: an append-only vector of
+ * (key, option) records, so add() is one push_back with no per-key
+ * node or option vector. compact() groups and merges them in place:
+ *
+ *  - a stable sort by key (K's operator<; skipped when the records
+ *    arrived sorted) gathers each key's records into one run and
+ *    keeps their insertion order within it;
+ *  - within a run, a record whose option @p Same judges equal to an
+ *    earlier one adds its weight to that earlier record and is
+ *    dropped. Each option thus keeps its first-occurrence position,
+ *    and its weight is the insertion-order sum `w1 + w2 + ...` that a
+ *    per-key `o.weight += w` accumulation gives.
+ *
+ * build() compacts, copies the runs into a FlatTable and releases the
+ * records. V must have a `weight` member; K must be trivially
+ * copyable with operator< and operator==.
+ */
+template <typename K, typename V, typename Same>
+class FlatTableBuilder
+{
+  public:
+    /** One added (key, option) pair. */
+    struct Record
+    {
+        K key;   ///< table key
+        V value; ///< one option of that key
+    };
+
+    /** Append one option for @p key (merged by compact()). */
+    void
+    add(const K &key, const V &value)
+    {
+        records_.push_back(Record{key, value});
+    }
+
+    /** Records held: after compact(), the distinct (key, option)
+     *  pairs. */
+    std::size_t size() const { return records_.size(); }
+
+    /** Sort and merge the records in place (see the class comment).
+     *  Idempotent: compacted records are sorted and hold no repeats. */
+    void
+    compact()
+    {
+        const auto by_key = [](const Record &a, const Record &b) {
+            return a.key < b.key;
+        };
+        if (!std::is_sorted(records_.begin(), records_.end(), by_key))
+            std::stable_sort(records_.begin(), records_.end(), by_key);
+        // Compact into the prefix [0, out); run = first record of the
+        // current key there.
+        std::size_t out = 0, run = 0;
+        for (std::size_t i = 0; i < records_.size(); ++i) {
+            const Record r = records_[i];
+            if (out != 0 && records_[run].key == r.key) {
+                auto it = std::find_if(
+                    records_.begin() + run, records_.begin() + out,
+                    [&](const Record &m) { return Same{}(m.value, r.value); });
+                if (it != records_.begin() + out) {
+                    it->value.weight += r.value.weight;
+                    continue;
+                }
+            } else {
+                run = out;
+            }
+            records_[out++] = r;
+        }
+        records_.erase(records_.begin() + out, records_.end());
+    }
+
+    /** compact(), then call @p fn(key, first, n) once per key, in key
+     *  order, with the key's @p n merged records starting at
+     *  @p first. */
+    template <typename Fn>
+    void
+    for_each_run(Fn fn)
+    {
+        compact();
+        for (std::size_t b = 0, e = 0; b < records_.size(); b = e) {
+            for (e = b + 1;
+                 e < records_.size() && records_[e].key == records_[b].key;
+                 ++e) {
+            }
+            fn(records_[b].key, &records_[b], e - b);
+        }
+    }
+
+    /** compact() into @p out (storage carved from @p arena, as in
+     *  FlatTable::begin_build), then release the records. */
+    template <typename H>
+    void
+    build(FlatTable<K, V, H> &out, Arena *arena)
+    {
+        std::size_t n_keys = 0;
+        for_each_run([&](const K &, const Record *, std::size_t) { ++n_keys; });
+        out.begin_build(n_keys, records_.size(), arena);
+        for_each_run([&](const K &key, const Record *first, std::size_t n) {
+            out.add_entry_from(key, n, [first](std::size_t i) -> const V & {
+                return first[i].value;
+            });
+        });
+        std::vector<Record>().swap(records_);
+    }
+
+  private:
+    std::vector<Record> records_; ///< added records, in add() order
+                                  ///< until compact()
 };
 
 } // namespace hornet::common

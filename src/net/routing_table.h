@@ -13,25 +13,29 @@
  * Delivery is expressed as next_node_id == the node itself.
  *
  * The table has two phases. While building (the routing builders run
- * at construction time) entries live in a mutable hash map and add()
- * accumulates weights. freeze() then compiles the map into a
- * common::FlatTable — single-probe open addressing with all option
- * lists packed into one arena slab — and drops the map; the per-flit
+ * at construction time) add() appends a (key, option) record to a
+ * common::FlatTableBuilder. freeze() sorts and merges the records in
+ * place — repeated options of a key sum their weights in add() order
+ * and keep their first-occurrence position — compiles them into a
+ * common::FlatTable (single-probe open addressing with all option
+ * lists packed into one arena slab) and releases them; the per-flit
  * hot path (Router::do_route_compute) only ever sees the frozen form.
- * add() after freeze() panics. Lookups work identically in both
- * phases: they return a FlatEntry view (or nullptr when absent) whose
+ * add() after freeze() panics, and so does every read before it
+ * (lookup/pick/keys/size/for_each_entry). The one build-time reader,
+ * the VCA builders, walks the merged records with for_each_option().
+ * A lookup returns a FlatEntry view (or nullptr when absent) whose
  * precomputed total weight keeps the weighted pick's RNG draws
- * bit-for-bit identical to the historical map-backed path.
+ * bit-for-bit identical to a per-key accumulation of the same adds.
  */
 #ifndef HORNET_NET_ROUTING_TABLE_H
 #define HORNET_NET_ROUTING_TABLE_H
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_table.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -57,14 +61,19 @@ struct RouteKey
     FlowId flow;
 
     /** Keys are equal when both fields match. */
+    bool operator==(const RouteKey &) const = default;
+
+    /** Builder sort order: flow, then prev_node. Routing builders add
+     *  flows in increasing id order, so a router's records usually
+     *  arrive already sorted and the builder skips the sort. */
     bool
-    operator==(const RouteKey &o) const
+    operator<(const RouteKey &o) const
     {
-        return prev_node == o.prev_node && flow == o.flow;
+        return flow != o.flow ? flow < o.flow : prev_node < o.prev_node;
     }
 };
 
-/** Hash functor for RouteKey (map and flat-table support). */
+/** Hash functor for RouteKey (flat-table slot placement). */
 struct RouteKeyHash
 {
     /** Mix both key fields into a table hash. */
@@ -79,9 +88,20 @@ struct RouteKeyHash
     }
 };
 
+/** Two options are the same when they name the same hop and flow. */
+struct SameRoute
+{
+    /** True when @p a and @p b differ at most in weight. */
+    bool
+    operator()(const RouteResult &a, const RouteResult &b) const
+    {
+        return a.next_node == b.next_node && a.next_flow == b.next_flow;
+    }
+};
+
 /**
- * One node's routing table (two-phase: mutable map while building,
- * frozen flat table at run time — see the file comment).
+ * One node's routing table (two-phase: append-only records while
+ * building, frozen flat table at run time — see the file comment).
  */
 class RoutingTable
 {
@@ -91,6 +111,11 @@ class RoutingTable
 
     /** Table of node @p node (the delivery sentinel). */
     explicit RoutingTable(NodeId node = kInvalidNode) : node_(node) {}
+    /** Not copyable: a frozen table reads through a pointer to its own
+     *  storage. */
+    RoutingTable(const RoutingTable &) = delete;
+    /** Not copyable (see the copy constructor). */
+    RoutingTable &operator=(const RoutingTable &) = delete;
 
     /** The node this table routes for. */
     NodeId node() const { return node_; }
@@ -100,9 +125,28 @@ class RoutingTable
      *  Panics once the table is frozen. */
     void add(NodeId prev_node, FlowId flow, const RouteResult &result);
 
+    /**
+     * Builder-side walk: merge the options added so far (as freeze()
+     * will) and call @p fn(key, option) for every option of every
+     * key, in key order. Panics once the table is frozen.
+     */
+    template <typename Fn>
+    void
+    for_each_option(Fn fn)
+    {
+        if (frozen())
+            panic(strcat("routing table at node ", node_,
+                         ": builder walk after freeze() (", describe(), ")"));
+        builder_.for_each_run(
+            [&](const RouteKey &key, const Builder::Record *first,
+                std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i)
+                    fn(key, first[i].value);
+            });
+    }
+
     /** All options for <prev, flow>, or nullptr when absent. The view
-     *  is stable after freeze(); while building it is invalidated by
-     *  the next add() or lookup() of the same key. */
+     *  stays valid for the table's lifetime. Panics before freeze(). */
     const Options *lookup(NodeId prev_node, FlowId flow) const;
 
     /** Weighted random pick among the options (panics when absent). */
@@ -131,10 +175,11 @@ class RoutingTable
     }
 
     /**
-     * Compile the mutable map into the frozen flat form, carving slots
-     * and the packed option slab from @p arena (the owning router's
-     * placement-group arena; null falls back to a private arena), then
-     * drop the map. Idempotent; after it, add() panics.
+     * Compile the added records into the frozen flat form, carving
+     * slots and the packed option slab from @p arena (the owning
+     * router's placement-group arena; null falls back to a private
+     * arena), then release the records. Idempotent; after it, add()
+     * panics.
      */
     void freeze(common::Arena *arena = nullptr);
 
@@ -153,44 +198,40 @@ class RoutingTable
     void adopt(const RoutingTable &donor);
 
     /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
+    bool frozen() const { return read_ != nullptr; }
 
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
+    /** Number of table entries (keys). Panics before freeze(). */
+    std::size_t size() const { return read("size").size(); }
 
-    /** All keys (tests / table sanity checks); works in both phases. */
+    /** All keys (tests / table sanity checks). Panics before
+     *  freeze(). */
     std::vector<RouteKey> keys() const;
+
+    /** Call @p fn(key, options) for every entry, in slot order.
+     *  Panics before freeze(). */
+    template <typename Fn>
+    void
+    for_each_entry(Fn fn) const
+    {
+        read("for_each_entry").for_each_key(fn);
+    }
 
     /** One-line phase/size/probe diagnostics for panic messages. */
     std::string describe() const;
 
   private:
-    /** Building-phase entry: the option vector plus a lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<RouteResult> opts; ///< accumulated options
-        mutable Options view;          ///< view returned by lookup()
-    };
+    using Flat = common::FlatTable<RouteKey, RouteResult, RouteKeyHash>;
+    using Builder = common::FlatTableBuilder<RouteKey, RouteResult, SameRoute>;
 
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
+    /** The frozen storage; panics naming @p what before freeze(). */
+    const Flat &read(const char *what) const;
 
     NodeId node_;
-    bool frozen_ = false;
-    std::unordered_map<RouteKey, Building, RouteKeyHash> entries_;
-    common::FlatTable<RouteKey, RouteResult, RouteKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> *shared_ =
-        nullptr;
+    Builder builder_;
+    Flat flat_;
+    /** Storage reads go to: own flat_ after freeze(), the donor's
+     *  after adopt(), null while building. */
+    const Flat *read_ = nullptr;
 };
 
 /**
@@ -199,7 +240,7 @@ class RoutingTable
  * delivery sentinel), sorted and deduplicated. This is the flow set
  * System::freeze_tables() registers with the tile's FlowStatsTable;
  * sim::SystemBlueprint precomputes it once per node so instantiated
- * systems skip the walk. Works in both table phases.
+ * systems skip the walk. Panics before the table is frozen.
  */
 std::vector<FlowId> deliverable_flows(const RoutingTable &table, NodeId node);
 

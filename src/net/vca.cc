@@ -39,73 +39,54 @@ to_string(VcaMode mode)
 void
 VcaTable::add(const VcaKey &key, const VcaResult &result)
 {
-    if (frozen_)
+    if (frozen())
         panic(strcat("VCA table: add() after freeze() (", describe(), ")"));
     if (result.weight <= 0.0)
         fatal("VCA table: weights must be positive");
-    auto &opts = entries_[key].opts;
-    for (auto &o : opts) {
-        if (o.vc == result.vc) {
-            o.weight += result.weight;
-            return;
-        }
-    }
-    opts.push_back(result);
+    builder_.add(key, result);
 }
 
 const VcaTable::Options *
 VcaTable::lookup(const VcaKey &key) const
 {
-    if (frozen_)
-        return flat().lookup(key);
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return nullptr;
-    const auto &opts = it->second.opts;
-    Options &view = it->second.view;
-    view.data = opts.data();
-    view.count = static_cast<std::uint32_t>(opts.size());
-    view.total_weight = common::flat_total_weight(opts.data(), opts.size());
-    return &view;
+    return read("lookup").lookup(key);
+}
+
+const VcaTable::Flat &
+VcaTable::read(const char *what) const
+{
+    if (read_ == nullptr) [[unlikely]]
+        panic(strcat("VCA table: ", what, " before freeze() (", describe(),
+                     ")"));
+    return *read_;
 }
 
 void
 VcaTable::freeze(common::Arena *arena)
 {
-    if (frozen_)
+    if (frozen())
         return;
-    std::size_t n_values = 0;
-    for (const auto &kv : entries_)
-        n_values += kv.second.opts.size();
-    flat_.begin_build(entries_.size(), n_values, arena);
-    for (const auto &kv : entries_)
-        flat_.add_entry(kv.first, kv.second.opts.data(),
-                        kv.second.opts.size());
-    decltype(entries_)().swap(entries_); // drop the map and its buckets
-    frozen_ = true;
+    builder_.build(flat_, arena);
+    read_ = &flat_;
 }
 
 void
 VcaTable::adopt(const VcaTable &donor)
 {
-    if (frozen_ || !entries_.empty())
+    if (frozen() || builder_.size() != 0)
         panic(strcat("VCA table: adopt() on a non-empty table (", describe(),
                      ")"));
-    if (!donor.frozen())
-        panic(strcat("VCA table: adopt() of an unfrozen donor (",
-                     donor.describe(), ")"));
-    shared_ = donor.shared_ != nullptr ? donor.shared_ : &donor.flat_;
-    frozen_ = true;
+    read_ = &donor.read("adopt() donor");
 }
 
 std::string
 VcaTable::describe() const
 {
-    if (frozen_)
-        return strcat(shared_ != nullptr ? "adopted" : "frozen",
-                      " flat table: ", flat().size(), " entries, capacity ",
-                      flat().capacity(), ", max probe ", flat().max_probe());
-    return strcat("unfrozen map: ", entries_.size(), " entries");
+    if (!frozen())
+        return strcat("unfrozen: ", builder_.size(), " records");
+    return strcat(read_ == &flat_ ? "frozen" : "adopted",
+                  " flat table: ", read_->size(), " entries, capacity ",
+                  read_->capacity(), ", max probe ", read_->max_probe());
 }
 
 } // namespace hornet::net

@@ -27,10 +27,9 @@
 #ifndef HORNET_NET_VCA_H
 #define HORNET_NET_VCA_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/flat_table.h"
 #include "common/types.h"
@@ -73,16 +72,11 @@ struct VcaKey
     /** Flow id after this hop's renaming. */
     FlowId next_flow;
 
-    /** Keys are equal when all four fields match. */
-    bool
-    operator==(const VcaKey &o) const
-    {
-        return prev_node == o.prev_node && flow == o.flow &&
-               next_node == o.next_node && next_flow == o.next_flow;
-    }
+    /** Field-wise comparison (builder sort order: field order). */
+    auto operator<=>(const VcaKey &) const = default;
 };
 
-/** Hash functor for VcaKey (unordered_map support). */
+/** Hash functor for VcaKey (flat-table slot placement). */
 struct VcaKeyHash
 {
     /** Mix the four key fields into a table hash. */
@@ -98,16 +92,28 @@ struct VcaKeyHash
     }
 };
 
+/** Two candidates are the same when they name the same VC. */
+struct SameVc
+{
+    /** True when @p a and @p b differ at most in weight. */
+    bool
+    operator()(const VcaResult &a, const VcaResult &b) const
+    {
+        return a.vc == b.vc;
+    }
+};
+
 /**
  * One node's VCA table. A missing entry means "all next-hop VCs with
  * equal weight" (pure dynamic VCA), so tables only need populating for
  * restricted schemes.
  *
- * Two-phase like RoutingTable: a mutable map while the VCA builders
- * run, compiled by freeze() into a single-probe common::FlatTable for
- * the per-packet stage-A lookup (Router::try_vc_allocate); add() after
- * freeze() panics. lookup() returns the same view type in both phases,
- * keeping the nullptr contract.
+ * Two-phase like RoutingTable: add() appends records while the VCA
+ * builders run; freeze() sorts and merges them (repeated VCs of a key
+ * sum their weights in add() order) into a single-probe
+ * common::FlatTable for the per-packet stage-A lookup
+ * (Router::try_vc_allocate). add() after freeze() and lookup() before
+ * it panic.
  */
 class VcaTable
 {
@@ -117,20 +123,25 @@ class VcaTable
 
     /** An empty table: pure dynamic VCA everywhere. */
     VcaTable() = default;
+    /** Not copyable: a frozen table reads through a pointer to its own
+     *  storage. */
+    VcaTable(const VcaTable &) = delete;
+    /** Not copyable (see the copy constructor). */
+    VcaTable &operator=(const VcaTable &) = delete;
 
     /** Add (accumulate) a candidate VC for the four-tuple key.
      *  Panics once the table is frozen. */
     void add(const VcaKey &key, const VcaResult &result);
 
     /** Candidate set for the key, or nullptr (= all VCs, equal weight).
-     *  The view is stable after freeze(); while building it is
-     *  invalidated by the next add() or lookup() of the same key. */
+     *  The view stays valid for the table's lifetime. Panics before
+     *  freeze(). */
     const Options *lookup(const VcaKey &key) const;
 
     /**
-     * Compile the mutable map into the frozen flat form (slots and the
-     * packed candidate slab carved from @p arena; null falls back to a
-     * private arena), then drop the map. Idempotent.
+     * Compile the added records into the frozen flat form (slots and
+     * the packed candidate slab carved from @p arena; null falls back
+     * to a private arena), then release the records. Idempotent.
      */
     void freeze(common::Arena *arena = nullptr);
 
@@ -144,39 +155,25 @@ class VcaTable
     void adopt(const VcaTable &donor);
 
     /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
+    bool frozen() const { return read_ != nullptr; }
 
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
+    /** Number of table entries (keys). Panics before freeze(). */
+    std::size_t size() const { return read("size").size(); }
 
     /** One-line phase/size/probe diagnostics for panic messages. */
     std::string describe() const;
 
   private:
-    /** Building-phase entry: candidate vector plus the lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<VcaResult> opts; ///< accumulated candidates
-        mutable Options view;        ///< view returned by lookup()
-    };
+    using Flat = common::FlatTable<VcaKey, VcaResult, VcaKeyHash>;
 
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
+    /** The frozen storage; panics naming @p what before freeze(). */
+    const Flat &read(const char *what) const;
 
-    bool frozen_ = false;
-    std::unordered_map<VcaKey, Building, VcaKeyHash> entries_;
-    common::FlatTable<VcaKey, VcaResult, VcaKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> *shared_ = nullptr;
+    common::FlatTableBuilder<VcaKey, VcaResult, SameVc> builder_;
+    Flat flat_;
+    /** Storage reads go to: own flat_ after freeze(), the donor's
+     *  after adopt(), null while building. */
+    const Flat *read_ = nullptr;
 };
 
 } // namespace hornet::net

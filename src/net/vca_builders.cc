@@ -7,22 +7,23 @@ namespace hornet::net::vca {
 
 namespace {
 
-/** Apply @p fn to every non-delivery transition of every routing table. */
+/**
+ * Apply @p fn to every non-delivery transition of every (unfrozen)
+ * routing table, walking its merged build records. Each (key, option)
+ * pair is visited once and yields a distinct VcaKey, so the VCA
+ * tables built from the walk do not depend on its order.
+ */
 template <typename Fn>
 void
 for_each_transition(Network &net, Fn fn)
 {
     for (NodeId n = 0; n < net.num_nodes(); ++n) {
         Router &r = net.router(n);
-        const RoutingTable &rt = r.routing_table();
-        for (const RouteKey &key : rt.keys()) {
-            const auto *opts = rt.lookup(key.prev_node, key.flow);
-            for (const RouteResult &res : *opts) {
-                if (res.next_node == n)
-                    continue; // delivery to the CPU port: keep dynamic
-                fn(r, key, res);
-            }
-        }
+        r.routing_table().for_each_option(
+            [&](const RouteKey &key, const RouteResult &res) {
+                if (res.next_node != n) // delivery: keep dynamic
+                    fn(r, key, res);
+            });
     }
 }
 

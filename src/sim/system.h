@@ -203,14 +203,6 @@ class System
      */
     bool reset_for_rerun(std::uint64_t seed);
 
-    /**
-     * Disable (or re-enable) the automatic pre-run freeze_tables().
-     * Test-only knob: the differential harness runs frozen and
-     * unfrozen systems side by side to prove the freeze is bitwise
-     * neutral. Must be set before the first run().
-     */
-    void set_freeze_tables(bool on) { freeze_enabled_ = on; }
-
     /** True once freeze_tables() has run. */
     bool tables_frozen() const { return tables_frozen_; }
 
@@ -251,7 +243,6 @@ class System
     std::vector<Tile *> tiles_; ///< arena-placed, non-owning
     std::unique_ptr<net::Network> network_;
     bool sinks_attached_ = false;
-    bool freeze_enabled_ = true;
     bool tables_frozen_ = false;
     EngineRunStats last_engine_stats_;
 };

@@ -340,15 +340,12 @@ make_policy(const DiffConfig &c)
     return p;
 }
 
-/** Build + run one variant; return the stats fingerprint. @p freeze
- *  false disables the pre-run flat-table freeze (ISSUE 8), running on
- *  the mutable map-backed tables instead. */
+/** Build + run one variant; return the stats fingerprint. */
 std::string
 run_variant(const DiffConfig &c, Schedule sched, unsigned threads,
-            SystemStats *stats_out = nullptr, bool freeze = true)
+            SystemStats *stats_out = nullptr)
 {
     auto sys = build_system(c);
-    sys->set_freeze_tables(freeze);
     auto policy = make_policy(c);
     EngineOptions opts;
     opts.max_cycles = c.horizon;
@@ -425,37 +422,6 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
     // The generator must keep exercising the bitwise multi-thread
     // path, not just loose conservation runs.
     EXPECT_GT(lockstep_configs, n / 4);
-}
-
-TEST(Differential, FrozenTablesAreBitwiseNeutral)
-{
-    // The flat-table freeze (ISSUE 8) compiles the routing/VCA tables
-    // and the flow-stats index into their frozen forms before the
-    // first run; it must be invisible in results. Run each drawn
-    // configuration with the freeze enabled and disabled and demand
-    // identical full-fidelity fingerprints — on every scheduler, and
-    // multi-threaded where the config is bitwise at all.
-    const std::uint64_t limit = 12;
-    const std::uint64_t n =
-        config_count() < limit ? config_count() : limit;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const DiffConfig c = draw_config(i);
-        SCOPED_TRACE("config " + std::to_string(i) + ": " +
-                     c.describe());
-        for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                               Schedule::EventFine}) {
-            const std::string frozen = run_variant(c, sched, 1);
-            const std::string unfrozen =
-                run_variant(c, sched, 1, nullptr, false);
-            EXPECT_EQ(frozen, unfrozen)
-                << "sched=" << static_cast<int>(sched);
-        }
-        if (c.thread_bitwise()) {
-            EXPECT_EQ(
-                run_variant(c, Schedule::EventFine, 4),
-                run_variant(c, Schedule::EventFine, 4, nullptr, false));
-        }
-    }
 }
 
 /** Build + run a config-schema system (the config_run path) under one

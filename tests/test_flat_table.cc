@@ -1,21 +1,26 @@
 /**
  * @file
- * FlatTable unit and differential tests (ISSUE 8): a randomized
- * differential check of the frozen open-addressing table against an
- * unordered_map reference, the build-contract panics, and the
- * freeze-order contract of the routing/VCA tables and the dense
- * flow-stats index.
+ * FlatTable unit and differential tests: a randomized differential
+ * check of the frozen open-addressing table against an unordered_map
+ * reference, the build-contract panics, the freeze-order contract of
+ * the routing/VCA tables, randomized routing/VCA add() sequences
+ * whose frozen form must equal a per-key map accumulation bit for
+ * bit, and the dense flow-stats index.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/flat_table.h"
 #include "common/flow_stats_table.h"
+#include "common/rng.h"
 #include "net/routing_table.h"
 #include "net/vca.h"
 
@@ -202,13 +207,14 @@ TEST(FlatTable, RoutingTableFreezeContract)
     t.add(3, 7, {2, 7, 3.0});
     t.add(0, 9, {3, 9, 1.0});
 
+    // Every read before the freeze is a bug: the build records have
+    // no lookup form.
     EXPECT_FALSE(t.frozen());
-    const auto *pre = t.lookup(3, 7);
-    ASSERT_NE(pre, nullptr);
-    ASSERT_EQ(pre->size(), 2u);
-    const double pre_total = pre->total_weight;
-    EXPECT_EQ(pre_total, 4.0);
-    EXPECT_EQ(t.lookup(5, 5), nullptr);
+    Rng rng(1);
+    EXPECT_THROW(t.lookup(3, 7), std::logic_error);
+    EXPECT_THROW(t.pick(3, 7, rng), std::logic_error);
+    EXPECT_THROW(t.keys(), std::logic_error);
+    EXPECT_THROW(t.size(), std::logic_error);
 
     t.freeze();
     EXPECT_TRUE(t.frozen());
@@ -217,14 +223,17 @@ TEST(FlatTable, RoutingTableFreezeContract)
     const auto *post = t.lookup(3, 7);
     ASSERT_NE(post, nullptr);
     ASSERT_EQ(post->size(), 2u);
-    EXPECT_EQ(post->total_weight, pre_total);
+    EXPECT_EQ(post->total_weight, 4.0);
     EXPECT_EQ((*post)[0].next_node, 1u);
     EXPECT_EQ((*post)[1].next_node, 2u);
-    EXPECT_EQ(t.lookup(5, 5), nullptr); // nullptr contract survives
+    EXPECT_EQ(t.lookup(5, 5), nullptr); // nullptr contract
     EXPECT_EQ(t.size(), 2u);
 
     // The freeze-order contract: mutation after freeze is a bug.
     EXPECT_THROW(t.add(3, 7, {1, 7, 1.0}), std::logic_error);
+    EXPECT_THROW(t.for_each_option([](const net::RouteKey &,
+                                      const net::RouteResult &) {}),
+                 std::logic_error);
 }
 
 TEST(FlatTable, VcaTableFreezeContract)
@@ -242,11 +251,8 @@ TEST(FlatTable, VcaTableFreezeContract)
     absent.flow = 6;
 
     EXPECT_FALSE(t.frozen());
-    const auto *pre = t.lookup(k);
-    ASSERT_NE(pre, nullptr);
-    ASSERT_EQ(pre->size(), 2u);
-    EXPECT_EQ(pre->total_weight, 3.0);
-    EXPECT_EQ(t.lookup(absent), nullptr);
+    EXPECT_THROW(t.lookup(k), std::logic_error);
+    EXPECT_THROW(t.size(), std::logic_error);
 
     t.freeze();
     EXPECT_TRUE(t.frozen());
@@ -261,6 +267,144 @@ TEST(FlatTable, VcaTableFreezeContract)
     EXPECT_EQ(t.lookup(absent), nullptr);
 
     EXPECT_THROW(t.add(k, {1, 1.0}), std::logic_error);
+}
+
+/** A weight that is not a small integer, so the order of the
+ *  accumulation shows in the low bits of the sum. */
+double
+odd_weight(Draw &d)
+{
+    return static_cast<double>(1 + d.below(1000)) / 7.0;
+}
+
+/** Map-era reference of one table: an option list per key, repeated
+ *  options accumulating `o.weight += w` in add() order. */
+template <typename K, typename V, typename H, typename Same>
+void
+reference_add(std::unordered_map<K, std::vector<V>, H> &ref, const K &key,
+              const V &v, Same same)
+{
+    auto &opts = ref[key];
+    for (auto &o : opts)
+        if (same(o, v)) {
+            o.weight += v.weight;
+            return;
+        }
+    opts.push_back(v);
+}
+
+/** Assert a frozen entry equals the reference options bit for bit:
+ *  option order, every field, every weight and the total weight. */
+template <typename V, typename Same>
+void
+expect_same_entry(const common::FlatEntry<V> *e, const std::vector<V> &ref,
+                  Same same)
+{
+    ASSERT_NE(e, nullptr);
+    ASSERT_EQ(e->size(), ref.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_TRUE(same((*e)[i], ref[i])) << "option " << i;
+        EXPECT_EQ((*e)[i].weight, ref[i].weight) << "option " << i;
+        total = total + ref[i].weight;
+    }
+    EXPECT_EQ(e->total_weight, total);
+}
+
+TEST(FlatTable, RoutingTableBuilderMatchesMapAccumulation)
+{
+    // Randomized add() sequences — few keys, few options, so keys and
+    // options repeat interleaved — against the map-era accumulation.
+    // The freeze (stable sort + in-place merge) must change no option
+    // list, order or weight, and weighted picks must draw the same
+    // options as the reference from the same RNG stream.
+    const net::SameRoute same;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Draw d(seed);
+        const NodeId self = 4;
+        net::RoutingTable t(self);
+        std::unordered_map<net::RouteKey, std::vector<net::RouteResult>,
+                           net::RouteKeyHash>
+            ref;
+        const std::size_t adds = 1 + d.below(2000);
+        for (std::size_t i = 0; i < adds; ++i) {
+            const net::RouteKey key{static_cast<NodeId>(d.below(5)),
+                                    d.below(40)};
+            const net::RouteResult r{static_cast<NodeId>(d.below(6)),
+                                     d.below(3), odd_weight(d)};
+            t.add(key.prev_node, key.flow, r);
+            reference_add(ref, key, r, same);
+        }
+        t.freeze();
+
+        ASSERT_EQ(t.size(), ref.size());
+        EXPECT_EQ(t.keys().size(), ref.size());
+        for (const auto &[key, opts] : ref)
+            expect_same_entry(t.lookup(key.prev_node, key.flow), opts, same);
+        EXPECT_EQ(t.lookup(5, 0), nullptr); // prev never drawn
+        EXPECT_EQ(t.lookup(0, 40), nullptr); // flow never drawn
+
+        std::vector<FlowId> delivered;
+        for (const auto &[key, opts] : ref)
+            for (const auto &o : opts)
+                if (o.next_node == self)
+                    delivered.push_back(o.next_flow);
+        std::sort(delivered.begin(), delivered.end());
+        delivered.erase(std::unique(delivered.begin(), delivered.end()),
+                        delivered.end());
+        EXPECT_EQ(net::deliverable_flows(t, self), delivered);
+
+        Rng table_rng(seed), ref_rng(seed);
+        for (int i = 0; i < 500; ++i) {
+            const auto it = std::next(ref.begin(), static_cast<long>(
+                                                       d.below(ref.size())));
+            const auto &opts = it->second;
+            std::size_t want = 0;
+            if (opts.size() > 1) {
+                std::vector<double> w;
+                for (const auto &o : opts)
+                    w.push_back(o.weight);
+                want = ref_rng.pick_weighted(w);
+            }
+            const auto *e = t.lookup(it->first.prev_node, it->first.flow);
+            ASSERT_NE(e, nullptr);
+            const net::RouteResult &got = t.pick_from(*e, table_rng);
+            EXPECT_EQ(&got - e->begin(), static_cast<long>(want))
+                << "pick " << i;
+        }
+    }
+}
+
+TEST(FlatTable, VcaTableBuilderMatchesMapAccumulation)
+{
+    const net::SameVc same;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Draw d(seed * 977);
+        net::VcaTable t;
+        std::unordered_map<net::VcaKey, std::vector<net::VcaResult>,
+                           net::VcaKeyHash>
+            ref;
+        const std::size_t adds = 1 + d.below(2000);
+        for (std::size_t i = 0; i < adds; ++i) {
+            const net::VcaKey key{static_cast<NodeId>(d.below(3)),
+                                  d.below(10),
+                                  static_cast<NodeId>(d.below(3)),
+                                  d.below(2)};
+            const net::VcaResult r{static_cast<VcId>(d.below(6)),
+                                   odd_weight(d)};
+            t.add(key, r);
+            reference_add(ref, key, r, same);
+        }
+        t.freeze();
+
+        ASSERT_EQ(t.size(), ref.size());
+        for (const auto &[key, opts] : ref)
+            expect_same_entry(t.lookup(key), opts, same);
+        EXPECT_EQ(t.lookup(net::VcaKey{3, 0, 0, 0}), nullptr);
+        EXPECT_EQ(t.lookup(net::VcaKey{0, 0, 0, 2}), nullptr);
+    }
 }
 
 TEST(FlatTable, FlowStatsTableDenseAndOverflow)

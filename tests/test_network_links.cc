@@ -124,6 +124,8 @@ TEST(BidirLink, AsymmetricDemandGetsFullPool)
     routing::build_xy(*h.net, {{1, 0, 1, 1.0}});
 
     Router &a = h.net->router(0);
+    a.freeze_tables();
+    h.net->router(1).freeze_tables();
     // Inject a 4-flit packet by hand into A's injection VC.
     for (std::uint32_t i = 0; i < 4; ++i) {
         Flit f;

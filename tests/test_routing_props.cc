@@ -50,6 +50,14 @@ struct NetHarness
         }
         net = std::make_unique<Network>(topo, cfg, rp, sp);
     }
+
+    /** Freeze every router's tables: reads need the frozen form. */
+    void
+    freeze()
+    {
+        for (NodeId n = 0; n < net->num_nodes(); ++n)
+            net->router(n).freeze_tables();
+    }
 };
 
 /** Tiny deterministic generator for the property sweep itself. */
@@ -165,6 +173,7 @@ sweep_minimal(Builder build, std::uint64_t salt)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 10);
         build(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 8; ++seed) {
                 SCOPED_TRACE("flow " + std::to_string(fl.id) +
@@ -202,6 +211,7 @@ TEST(RoutingProps, O1turnRealizesExactlyXyOrYxSubroutes)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 8);
         routing::build_o1turn(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows) {
             const auto xy = routing::xy_path(topo, fl.src, fl.dst);
             const auto yx = routing::yx_path(topo, fl.src, fl.dst);
@@ -239,7 +249,9 @@ sweep_deterministic(Builder build, std::uint64_t salt)
     NetHarness b(topo);
     const auto flows = random_flows(d, w * h, 12);
     build(*a.net, flows);
+    a.freeze();
     build(*b.net, flows);
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -319,6 +331,7 @@ TEST(RoutingProps, ShortestWalksMatchHopDistanceEverywhere)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 12);
         routing::build_shortest(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -343,6 +356,7 @@ TEST(RoutingProps, UpdownWalksAreMinimal)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_updown(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 6; ++seed) {
                 Rng rng(seed);
@@ -363,7 +377,9 @@ TEST(RoutingProps, UpdownConstructionIsDeterministic)
     NetHarness b(topo);
     const auto flows = random_host_flows(d, topo.hosts(), 16);
     routing::build_updown(*a.net, flows);
+    a.freeze();
     routing::build_updown(*b.net, flows);
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng ra(seed), rb(seed);
@@ -386,6 +402,7 @@ TEST(RoutingProps, DragonflyMinimalWalksAreDirect)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_dragonfly_minimal(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -411,7 +428,9 @@ TEST(RoutingProps, DragonflyValiantWalksDeliver)
     NetHarness b(topo);
     const auto flows = random_host_flows(d, topo.hosts(), 14);
     routing::build_dragonfly_valiant(*a.net, flows);
+    a.freeze();
     routing::build_dragonfly_valiant(*b.net, flows);
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -448,6 +467,7 @@ TEST(RoutingProps, SwitchNodesNeverTerminateFlows)
         NetHarness net(c.topo);
         const auto flows = random_host_flows(d, c.topo.hosts(), 12);
         c.build(*net.net, flows);
+        net.freeze();
         for (NodeId n = 0; n < c.topo.num_nodes(); ++n) {
             if (!c.topo.is_switch(n))
                 continue;

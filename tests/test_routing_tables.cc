@@ -38,6 +38,14 @@ struct NetHarness
         }
         net = std::make_unique<Network>(topo, cfg, rp, sp);
     }
+
+    /** Freeze every router's tables: reads need the frozen form. */
+    void
+    freeze()
+    {
+        for (NodeId n = 0; n < net->num_nodes(); ++n)
+            net->router(n).freeze_tables();
+    }
 };
 
 /**
@@ -70,6 +78,7 @@ table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
 TEST(RoutingTable, LookupMissingReturnsNull)
 {
     RoutingTable t(3);
+    t.freeze();
     EXPECT_EQ(t.lookup(0, 42), nullptr);
 }
 
@@ -78,6 +87,7 @@ TEST(RoutingTable, AddAccumulatesDuplicateOptions)
     RoutingTable t(0);
     t.add(0, 7, RouteResult{1, 7, 1.0});
     t.add(0, 7, RouteResult{1, 7, 2.0});
+    t.freeze();
     const auto *opts = t.lookup(0, 7);
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 1u);
@@ -93,6 +103,7 @@ TEST(RoutingTable, NonPositiveWeightRejected)
 TEST(RoutingTable, PickMissingPanics)
 {
     RoutingTable t(0);
+    t.freeze();
     Rng rng(1);
     EXPECT_THROW(t.pick(0, 1, rng), std::logic_error);
 }
@@ -102,6 +113,7 @@ TEST(RoutingTable, WeightedPickRespectsWeights)
     RoutingTable t(0);
     t.add(0, 1, RouteResult{1, 1, 1.0});
     t.add(0, 1, RouteResult{2, 1, 3.0});
+    t.freeze();
     Rng rng(5);
     int to2 = 0;
     const int n = 20000;
@@ -159,6 +171,7 @@ TEST(BuildXy, InstallsDeterministicRoute)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
 
     Rng rng(9);
     // Every step has exactly one option; the walk ends at node 2.
@@ -174,6 +187,7 @@ TEST(BuildXy, SelfFlowDeliversLocally)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{5, 4, 4, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(2);
     EXPECT_EQ(table_walk(*h.net, 4, 5, rng), 4u);
 }
@@ -186,6 +200,7 @@ TEST(BuildXy, AllPairsReachDestination)
         for (NodeId d = 0; d < 16; ++d)
             flows.push_back({static_cast<FlowId>(s * 16 + d), s, d, 1.0});
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(3);
     for (const auto &f : flows)
         ASSERT_EQ(table_walk(*h.net, f.src, f.id, rng), f.dst)
@@ -201,6 +216,7 @@ TEST(BuildO1turn, SourceSplitsEvenlyBetweenPhases)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
 
     const auto *opts = h.net->router(6).routing_table().lookup(6, 100);
     ASSERT_NE(opts, nullptr);
@@ -223,6 +239,7 @@ TEST(BuildO1turn, WalksDeliverOnBothSubroutes)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 15, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(11);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 15u);
@@ -233,6 +250,7 @@ TEST(BuildO1turn, DegenerateRowStillDelivers)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 3, 1.0}}; // same row
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(13);
     for (int i = 0; i < 50; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 3u);
@@ -253,6 +271,7 @@ TEST(BuildRomm, PaperNode4Example)
     const FlowId f = 100;
     std::vector<FlowSpec> flows{{f, 6, 2, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     const FlowId ph1 = flowid::with_phase(f, 1);
     const FlowId ph2 = flowid::with_phase(f, 2);
 
@@ -285,6 +304,7 @@ TEST(BuildRomm, WalksAlwaysDeliver)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{3, 1, 14, 1.0}, {4, 15, 0, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(17);
     for (int i = 0; i < 300; ++i) {
         ASSERT_EQ(table_walk(*h.net, 1, 3, rng), 14u);
@@ -300,6 +320,7 @@ TEST(BuildRomm, PathsStayInMinimumRectangle)
     const NodeId src = topo.node_at(1, 1), dst = topo.node_at(3, 2);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(19);
     for (int trial = 0; trial < 200; ++trial) {
         NodeId node = src, prev = src;
@@ -328,6 +349,7 @@ TEST(BuildValiant, WalksDeliverAndLeaveRectangle)
     const FlowId f = 9;
     std::vector<FlowSpec> flows{{f, 5, 6, 1.0}}; // adjacent pair
     routing::build_valiant(*h.net, flows);
+    h.freeze();
     Rng rng(23);
     bool left_rect = false;
     for (int i = 0; i < 400; ++i) {
@@ -362,6 +384,7 @@ TEST(BuildProm, WeightsCountRemainingPaths)
     const FlowId f = 4;
     std::vector<FlowSpec> flows{{f, 0, 8, 1.0}}; // (0,0) -> (2,2)
     routing::build_prom(*h.net, flows);
+    h.freeze();
     // At the source: 6 minimal paths total, 3 through each direction.
     const auto *opts = h.net->router(0).routing_table().lookup(0, f);
     ASSERT_NE(opts, nullptr);
@@ -378,6 +401,7 @@ TEST(BuildProm, WalksDeliverMinimally)
     const NodeId src = topo.node_at(4, 3), dst = topo.node_at(1, 0);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_prom(*h.net, flows);
+    h.freeze();
     Rng rng(29);
     const std::uint32_t min_hops = topo.hop_distance(src, dst);
     for (int i = 0; i < 200; ++i) {
@@ -415,6 +439,7 @@ TEST(BuildShortest, WorksOnRingAndTorus)
                                  topo.num_nodes(),
                              1.0});
         routing::build_shortest(*h.net, flows);
+        h.freeze();
         Rng rng(31);
         for (const auto &fl : flows)
             ASSERT_EQ(table_walk(*h.net, fl.src, fl.id, rng), fl.dst);
@@ -428,6 +453,7 @@ TEST(BuildShortest, WorksOnMultilayerMesh)
     std::vector<FlowSpec> flows{{1, topo.node_at(2, 2, 0),
                                  topo.node_at(2, 2, 1), 1.0}};
     routing::build_shortest(*h.net, flows);
+    h.freeze();
     Rng rng(37);
     EXPECT_EQ(table_walk(*h.net, flows[0].src, 1, rng), flows[0].dst);
 }
@@ -442,6 +468,7 @@ TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
     for (FlowId i = 0; i < 6; ++i)
         flows.push_back({i, 0, 15, 1.0});
     routing::build_static_greedy(*h.net, flows, 2.0);
+    h.freeze();
     Rng rng(41);
     // All delivered...
     for (const auto &fl : flows)
@@ -468,6 +495,7 @@ TEST(VcaBuilders, PhaseSplitSeparatesO1turnSubroutes)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
 
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     const FlowId ph2 = flowid::with_phase(FlowId{100}, 2);
@@ -504,6 +532,7 @@ TEST(VcaBuilders, StaticSetPinsFlowToOneVc)
     std::vector<FlowSpec> flows{{101, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
     vca::build_static_set(*h.net);
+    h.freeze();
     const auto *v = h.net->router(6).vca_table().lookup(
         VcaKey{6, 101, 7, 101});
     ASSERT_NE(v, nullptr);
@@ -519,6 +548,7 @@ TEST(VcaBuilders, DeliveryHopsStayDynamic)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
     // The delivery entry (next == self) must not be constrained.
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     EXPECT_EQ(h.net->router(2).vca_table().lookup(VcaKey{5, ph1, 2, 100}),
