@@ -1,22 +1,21 @@
 /**
  * @file
- * Event-driven shard scheduling: O(active tiles) cycles vs the
- * polling scheduler's O(all tiles), extending the Fig 7 fast-forward
+ * Event-fine shard scheduling: O(active tiles) cycles vs the polling
+ * scheduler's O(all tiles), extending the Fig 7 fast-forward
  * methodology from "skip globally idle stretches" to "skip every idle
- * tile, every cycle" — and, with the event-fine scheduler, to "skip
- * every idle *component* inside every awake tile".
+ * tile, every cycle" and "skip every idle *component* inside every
+ * awake tile".
  *
  * The single-thread sweep crosses injection rate x mesh size x
  * scheduler under cycle-accurate sync with fast-forwarding off, so the
  * entire difference comes from per-tile/per-component sleeping. At low
- * rates most of the tile x cycle grid is idle: the event scheduler's
- * cost tracks the handful of active tiles, and event-fine shrinks the
- * cost of those active tiles again by visiting only router stages with
- * occupied VCs. At saturation every tile is busy every cycle and both
- * event schedulers must stay within noise of polling (their wake
- * bookkeeping is the only overhead). A bursty row (long fully-drained
- * gaps, the Fig 7a regime) shows the trace-replay case where sleeping
- * wins even without fast-forward.
+ * rates most of the tile x cycle grid is idle: event-fine's cost
+ * tracks the handful of active tiles, and inside them it visits only
+ * router stages with occupied VCs. At saturation every tile is busy
+ * every cycle and event-fine must stay within noise of polling (its
+ * wake bookkeeping is the only overhead). A bursty row (long
+ * fully-drained gaps, the Fig 7a regime) shows the trace-replay case
+ * where sleeping wins even without fast-forward.
  *
  * The cross-thread section then re-runs the low-rate lockstep config
  * at 2 and 4 shards: every cross-shard push wakes the consumer tile
@@ -26,17 +25,13 @@
  * docs/BENCHMARKS.md). Results must stay bitwise identical across
  * schedulers and thread counts (lockstep windows).
  *
- * Acceptance targets: >= 2x speedup for event over poll at rates
- * <= 0.05 flits/node/cycle on a 16x16 mesh (ISSUE 3); >= 2x speedup
- * for event-fine over event on the rate-0.01 rows at 16x16 and 32x32
- * (ISSUE 7, gated via the fine_over_event ratio rows); <= ~5%
- * regression at saturation.
+ * Acceptance targets: >= 2x speedup over poll at rates <= 0.05
+ * flits/node/cycle on a 16x16 mesh; <= ~5% regression at saturation.
  *
  * --quick runs the CI-smoke subset (8x8 mesh, shortened horizons)
  * with unchanged row names; --json=PATH feeds the perf-regression
  * harness (scripts/check_bench_regression.py).
  */
-#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -51,9 +46,18 @@ JsonReport report("bench_event_driven");
 struct Sample
 {
     double wall_s = 0.0;
-    double skipped_frac = 0.0;
+    double tile_slept = 0.0; ///< fraction of the tile x cycle grid
+    double comp_slept = 0.0; ///< fraction of the component x cycle grid
     std::uint64_t delivered = 0;
 };
+
+double
+fraction(std::uint64_t part, std::uint64_t rest)
+{
+    return part + rest ? static_cast<double>(part) /
+                             static_cast<double>(part + rest)
+                       : 0.0;
+}
 
 Sample
 run_one(std::uint32_t side, const char *pattern, double rate,
@@ -71,29 +75,24 @@ run_one(std::uint32_t side, const char *pattern, double rate,
     Sample out;
     out.wall_s = wall_seconds([&] { sys->run(policy, opts, threads); });
     auto stats = sys->collect_stats();
-    const std::uint64_t grid =
-        stats.tile_cycles_run + stats.tile_cycles_skipped;
-    out.skipped_frac =
-        grid ? static_cast<double>(stats.tile_cycles_skipped) /
-                   static_cast<double>(grid)
-             : 0.0;
+    out.tile_slept =
+        fraction(stats.tile_cycles_skipped, stats.tile_cycles_run);
+    out.comp_slept =
+        fraction(stats.comp_cycles_skipped, stats.comp_cycles_run);
     out.delivered = stats.total.flits_delivered;
     return out;
 }
 
 void
 sweep_row(std::uint32_t side, const char *pattern, double rate,
-          Cycle burst_period, Cycle cycles, bool gate_fine_ratio = false)
+          Cycle burst_period, Cycle cycles)
 {
     Sample poll = run_one(side, pattern, rate, burst_period,
                           sim::Schedule::Poll, cycles, /*threads=*/1);
-    Sample event = run_one(side, pattern, rate, burst_period,
-                           sim::Schedule::Event, cycles, /*threads=*/1);
     Sample fine = run_one(side, pattern, rate, burst_period,
                           sim::Schedule::EventFine, cycles,
                           /*threads=*/1);
-    if (poll.delivered != event.delivered ||
-        poll.delivered != fine.delivered)
+    if (poll.delivered != fine.delivered)
         fatal("scheduler changed results: delivered flits diverged");
     // us/flit: wall cost per delivered flit under event-fine — the
     // flatter this stays as rate drops, the closer the scheduler is to
@@ -102,52 +101,24 @@ sweep_row(std::uint32_t side, const char *pattern, double rate,
         fine.delivered ? 1e6 * fine.wall_s /
                              static_cast<double>(fine.delivered)
                        : 0.0;
-    std::printf(
-        "%ux%u,%s,%s,%.3f,%lu,%.3f,%.3f,%.3f,%.1f%%,%.2f,%.2f,%.2f\n",
-        side, side, pattern, burst_period ? "burst" : "rate", rate,
-        static_cast<unsigned long>(burst_period), poll.wall_s,
-        event.wall_s, fine.wall_s, 100.0 * event.skipped_frac,
-        poll.wall_s / event.wall_s, event.wall_s / fine.wall_s,
-        us_per_flit);
+    std::printf("%ux%u,%s,%s,%.3f,%lu,%.3f,%.3f,%.1f%%,%.1f%%,%.2f,%.2f\n",
+                side, side, pattern, burst_period ? "burst" : "rate", rate,
+                static_cast<unsigned long>(burst_period), poll.wall_s,
+                fine.wall_s, 100.0 * fine.tile_slept,
+                100.0 * fine.comp_slept, poll.wall_s / fine.wall_s,
+                us_per_flit);
     char name[96];
-    std::snprintf(name, sizeof name, "%ux%u_%s_%s%.2f_event_wall_s",
-                  side, side, pattern, burst_period ? "burst" : "r",
-                  rate);
-    report.lower_is_better(name, event.wall_s);
     std::snprintf(name, sizeof name, "%ux%u_%s_%s%.2f_fine_wall_s",
                   side, side, pattern, burst_period ? "burst" : "r",
                   rate);
     report.lower_is_better(name, fine.wall_s);
-    if (gate_fine_ratio) {
-        // The ISSUE 7 acceptance ratio: event-fine speedup over the
-        // tile-granularity event scheduler on the low-rate rows. A
-        // ratio of two sub-second walls jitters far beyond either
-        // wall row, so gate on best-of-3 per scheduler (timing noise
-        // is one-sided).
-        double ev = event.wall_s;
-        double fi = fine.wall_s;
-        for (int rep = 0; rep < 2; ++rep) {
-            ev = std::min(ev, run_one(side, pattern, rate, burst_period,
-                                      sim::Schedule::Event, cycles,
-                                      /*threads=*/1)
-                                  .wall_s);
-            fi = std::min(fi, run_one(side, pattern, rate, burst_period,
-                                      sim::Schedule::EventFine, cycles,
-                                      /*threads=*/1)
-                                  .wall_s);
-        }
-        std::snprintf(name, sizeof name,
-                      "%ux%u_%s_r%.2f_fine_over_event", side, side,
-                      pattern, rate);
-        report.higher_is_better(name, ev / fi);
-    }
 }
 
 /**
  * Cross-thread lockstep rows: the wake-mailbox hand-off. Lockstep
  * windows keep the result bitwise identical at every thread count and
- * drain each shard's mailbox at every cycle barrier, so the event rows
- * pay one mailbox round-trip per cross-shard push.
+ * drain each shard's mailbox at every cycle barrier, so the event-fine
+ * rows pay one mailbox round-trip per cross-shard push.
  */
 void
 cross_thread_row(std::uint32_t side, double rate, Cycle cycles,
@@ -169,18 +140,13 @@ cross_thread_row(std::uint32_t side, double rate, Cycle cycles,
             [](const Sample &s) { return -s.wall_s; });
     };
     const Sample poll = fastest(sim::Schedule::Poll);
-    const Sample event = fastest(sim::Schedule::Event);
     const Sample fine = fastest(sim::Schedule::EventFine);
-    std::printf(
-        "%ux%u,uniform,xthread%u,%.3f,0,%.3f,%.3f,%.3f,%.1f%%,%.2f,"
-        "%.2f,-\n",
-        side, side, threads, rate, poll.wall_s, event.wall_s,
-        fine.wall_s, 100.0 * event.skipped_frac,
-        poll.wall_s / event.wall_s, event.wall_s / fine.wall_s);
+    std::printf("%ux%u,uniform,xthread%u,%.3f,0,%.3f,%.3f,%.1f%%,%.1f%%,"
+                "%.2f,-\n",
+                side, side, threads, rate, poll.wall_s, fine.wall_s,
+                100.0 * fine.tile_slept, 100.0 * fine.comp_slept,
+                poll.wall_s / fine.wall_s);
     char name[96];
-    std::snprintf(name, sizeof name, "xthread_t%u_event_wall_s",
-                  threads);
-    report.lower_is_better(name, event.wall_s);
     std::snprintf(name, sizeof name, "xthread_t%u_fine_wall_s",
                   threads);
     report.lower_is_better(name, fine.wall_s);
@@ -223,17 +189,16 @@ main(int argc, char **argv)
 {
     const auto cli = BenchCli::parse(argc, argv);
 
-    std::printf("# Event-driven vs polling shard scheduling "
+    std::printf("# Event-fine vs polling shard scheduling "
                 "(cycle-accurate, no fast-forward)\n");
-    std::printf("mesh,pattern,mode,rate,burst_period,poll_s,event_s,"
-                "fine_s,tile_cycles_slept,event_speedup,fine_speedup,"
+    std::printf("mesh,pattern,mode,rate,burst_period,poll_s,fine_s,"
+                "tile_cycles_slept,comp_cycles_slept,fine_speedup,"
                 "fine_us_per_flit\n");
 
     // Injection-rate sweep: O(active) scaling against offered load.
     // Two patterns bracket the busy-tile fraction a given rate
     // produces: shuffle (short paths, few busy routers per flit) and
-    // uniform (near the longest average paths on a mesh). The
-    // rate-0.01 uniform rows carry the event-fine acceptance ratio.
+    // uniform (near the longest average paths on a mesh).
     for (std::uint32_t side : cli.quick
                                   ? std::vector<std::uint32_t>{8u}
                                   : std::vector<std::uint32_t>{8u, 16u})
@@ -244,7 +209,7 @@ main(int argc, char **argv)
         for (const char *pattern : {"shuffle", "uniform"})
             for (double rate : {0.01, 0.02, 0.05})
                 sweep_row(side, pattern, rate, /*burst_period=*/0,
-                          cycles, /*gate_fine_ratio=*/rate == 0.01);
+                          cycles);
         // Saturation guard: with every tile busy every cycle, the
         // wake bookkeeping is pure overhead and must stay in noise.
         for (double rate : {0.10, 0.30, 0.60})
@@ -260,7 +225,7 @@ main(int argc, char **argv)
     // Giant meshes (ISSUE 6): the arena-backed layout's target. Rows
     // use the O(N)-flow shuffle pattern — all-pairs flow tables are
     // quadratic in nodes and would swamp construction at this size —
-    // at a low rate where the event scheduler's O(active) cycles and
+    // at a low rate where event-fine's O(active) cycles and
     // the packed per-shard slabs both matter. The bytes/tile rows pin
     // the construction footprint itself (deterministic, gated
     // exactly).
@@ -268,19 +233,18 @@ main(int argc, char **argv)
         const Cycle cycles = cli.quick ? (side == 32 ? 1500 : 400)
                                        : (side == 32 ? 3000 : 1000);
         sweep_row(side, "shuffle", 0.02, /*burst_period=*/0, cycles);
-        // The 32x32 low-rate acceptance row (ISSUE 7): most of the
-        // grid idle, the per-tile cost dominated by the handful of
-        // in-flight flits.
+        // The 32x32 low-rate row: most of the grid idle, the per-tile
+        // cost dominated by the handful of in-flight flits.
         if (side == 32)
             sweep_row(side, "shuffle", 0.01, /*burst_period=*/0,
-                      cycles, /*gate_fine_ratio=*/true);
+                      cycles);
         footprint_row(side);
     }
 
     // Cross-thread lockstep: the wake-mailbox hand-off (see above).
     // The expected delivered count pins bitwise identity — it must
     // match the single-thread rows of the same config. The quick
-    // horizon is sized so even the event rows stay above the
+    // horizon is sized so even the event-fine rows stay above the
     // regression checker's tiny-row floor (sub-quarter-second
     // timings jitter beyond any useful gate).
     {
@@ -294,10 +258,10 @@ main(int argc, char **argv)
                              ref.delivered);
     }
 
-    std::printf("# event_speedup = poll_s / event_s; fine_speedup = "
-                "event_s / fine_s; tile_cycles_slept is the fraction "
-                "of the tile x cycle grid not ticked; xthreadN rows "
-                "run N lockstep shards\n");
+    std::printf("# fine_speedup = poll_s / fine_s; tile_cycles_slept "
+                "and comp_cycles_slept are the fractions of the tile x "
+                "cycle and component x cycle grids event-fine did not "
+                "tick; xthreadN rows run N lockstep shards\n");
     report.write_if_requested(cli);
     return 0;
 }

@@ -66,7 +66,7 @@ sweep_run_options(const SweepConfig &sc)
     sim::RunOptions ro;
     ro.max_cycles = sc.max_cycles;
     ro.stop_when_done = true;
-    ro.schedule = "event";
+    ro.schedule = "event-fine";
     return ro;
 }
 
@@ -172,12 +172,19 @@ main(int argc, char **argv)
     }
 
     // --- Construction cost: blueprint instantiation vs scratch ------
+    // Each pass takes a few tens of milliseconds, so one sample jitters
+    // beyond the 15% gate: keep the fastest of three (best_of_3).
     const int builds = cli.quick ? 8 : 12;
-    const double scratch_build_s = benchutil::wall_seconds([&] {
+    auto fastest = [](auto &&pass) {
+        return benchutil::best_of_3(
+            [&] { return benchutil::wall_seconds(pass); },
+            [](double s) { return -s; });
+    };
+    const double scratch_build_s = fastest([&] {
         for (int b = 0; b < builds; ++b)
             build_scratch(topo, sc, seed_of(b));
     });
-    const double blueprint_build_s = benchutil::wall_seconds([&] {
+    const double blueprint_build_s = fastest([&] {
         for (int b = 0; b < builds; ++b)
             bp->instantiate(seed_of(b));
     });

@@ -2,7 +2,7 @@
 # Tier-1 verify wrapper: configure, build, test, and (when available)
 # check formatting. Mirrors .github/workflows/ci.yml for local use.
 #
-#   ./ci.sh            # regular build, all three shard schedulers,
+#   ./ci.sh            # regular build, both shard schedulers,
 #                      # plus the full differential sweep (`long`)
 #   ./ci.sh --tsan     # ThreadSanitizer build of the test suite
 #   ./ci.sh --asan     # AddressSanitizer+UBSan build of the suite
@@ -20,24 +20,20 @@ JOBS="${JOBS:-$(nproc)}"
 if [[ "${1:-}" == "--tsan" ]]; then
     # ThreadSanitizer leg: the lock-free VC-buffer fabric, the MPSC
     # wake mailbox and the engine's cross-shard seams must be
-    # race-clean. Run under the event scheduler — it exercises the
-    # cross-thread wake path on top of the ring protocols — with
-    # second-deadlock detection on.
-    # Both event schedulers get a leg; the differential harness inside
-    # each run covers poll/event/event-fine explicitly, so the env
-    # loop only needs the wake-path variants. The full `long` sweep
-    # stays in the uninstrumented run (it would dominate a sanitizer
-    # leg); its quick subset runs here.
+    # race-clean. Run under the event-fine scheduler — it exercises
+    # the cross-thread wake path on top of the ring protocols — with
+    # second-deadlock detection on. The differential harness inside
+    # the run covers poll and event-fine explicitly. The full `long`
+    # sweep stays in the uninstrumented run (it would dominate a
+    # sanitizer leg); its quick subset runs here.
     cmake -B build-tsan -S . -DHORNET_TSAN=ON
     cmake --build build-tsan -j "$JOBS"
-    for schedule in event event-fine; do
-        echo "== ctest (ThreadSanitizer, HORNET_SCHEDULE=$schedule) =="
-        (cd build-tsan &&
-             HORNET_SCHEDULE="$schedule" \
-                 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-                 ctest --output-on-failure --no-tests=error -LE long \
-                 -j "$JOBS")
-    done
+    echo "== ctest (ThreadSanitizer, HORNET_SCHEDULE=event-fine) =="
+    (cd build-tsan &&
+         HORNET_SCHEDULE=event-fine \
+             TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+             ctest --output-on-failure --no-tests=error -LE long \
+             -j "$JOBS")
     echo "TSAN OK"
     exit 0
 fi
@@ -45,18 +41,17 @@ fi
 if [[ "${1:-}" == "--asan" ]]; then
     # AddressSanitizer + UBSan leg: heap/stack misuse and undefined
     # behaviour (notably misuse of the over-aligned fabric/mailbox
-    # types) across the same full suite, under the event scheduler.
+    # types) across the same full suite, under the event-fine
+    # scheduler.
     cmake -B build-asan -S . -DHORNET_ASAN=ON
     cmake --build build-asan -j "$JOBS"
-    for schedule in event event-fine; do
-        echo "== ctest (ASan+UBSan, HORNET_SCHEDULE=$schedule) =="
-        (cd build-asan &&
-             HORNET_SCHEDULE="$schedule" \
-                 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
-                 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-                 ctest --output-on-failure --no-tests=error -LE long \
-                 -j "$JOBS")
-    done
+    echo "== ctest (ASan+UBSan, HORNET_SCHEDULE=event-fine) =="
+    (cd build-asan &&
+         HORNET_SCHEDULE=event-fine \
+             ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
+             UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+             ctest --output-on-failure --no-tests=error -LE long \
+             -j "$JOBS")
     echo "ASAN OK"
     exit 0
 fi
@@ -171,11 +166,11 @@ fi
 
 cmake -B build -S .
 cmake --build build -j "$JOBS"
-# All three shard schedulers must stay green (and bitwise identical —
+# Both shard schedulers must stay green (and bitwise identical —
 # docs/ENGINE.md, "Event-driven shards" / "Component-granularity
 # wakes"). The `long` differential sweep ignores the env (it sets
 # schedules explicitly), so it runs once, outside the loop.
-for schedule in poll event event-fine; do
+for schedule in poll event-fine; do
     echo "== ctest (HORNET_SCHEDULE=$schedule) =="
     (cd build &&
          HORNET_SCHEDULE="$schedule" \
@@ -187,9 +182,9 @@ echo "== ctest (full differential sweep, label 'long') =="
      ctest --output-on-failure --no-tests=error -L long -j "$JOBS")
 
 # Giant-mesh smoke: a 64x64 (4096-tile) system must construct into the
-# per-group arenas and run under both shard schedulers with matching
-# results (docs/ENGINE.md, "Memory layout"). Named so a failure at
-# this scale is unmistakable in the log.
+# per-group arenas and run under both shard schedulers (poll and
+# event-fine) with matching results (docs/ENGINE.md, "Memory layout").
+# Named so a failure at this scale is unmistakable in the log.
 echo "== 64x64 giant-mesh smoke (arena layout, both schedulers) =="
 ./build/test_big_mesh --gtest_filter='BigMesh.Mesh64*'
 

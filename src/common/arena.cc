@@ -16,8 +16,10 @@
 #if defined(HORNET_ARENA_ASAN)
 #include <sanitizer/asan_interface.h>
 // Red zone appended after every allocation so neighbouring carves
-// cannot silently run into each other.
-static constexpr std::size_t kRedzoneBytes = 32;
+// cannot silently run into each other. One chunk alignment wide, so
+// padding, and bytes_used() (which leaves red zones out), match a
+// build without them.
+static constexpr std::size_t kRedzoneBytes = 64;
 #define HORNET_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
 #define HORNET_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
@@ -104,7 +106,7 @@ Arena::allocate(std::size_t bytes, std::size_t align)
     }
     void *p = reinterpret_cast<void *>(aligned);
     HORNET_ARENA_UNPOISON(p, bytes);
-    used_ += (aligned - cur_) + bytes + kRedzoneBytes;
+    used_ += (aligned - cur_) + bytes; // red zones are not footprint
     cur_ = aligned + bytes + kRedzoneBytes;
     return p;
 }

@@ -121,8 +121,9 @@ class Arena
      */
     void reset();
 
-    /** Bytes handed out since the last reset, including alignment
-     *  padding (and, under ASan, red zones). */
+    /** Bytes handed out since the last reset: payload plus alignment
+     *  padding, never ASan red zones, so the figure is the same in
+     *  every build (up to the padding at the few chunk switches). */
     std::size_t bytes_used() const { return used_; }
 
     /** Total payload bytes of all chunks ever allocated. */

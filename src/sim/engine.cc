@@ -16,30 +16,26 @@ schedule_from_name(const std::string &name)
 {
     if (name == "poll")
         return Schedule::Poll;
-    if (name == "event")
-        return Schedule::Event;
     if (name == "event-fine")
         return Schedule::EventFine;
-    fatal("schedule must be \"poll\", \"event\" or \"event-fine\", "
-          "got \"" +
-          name + "\"");
+    fatal("schedule must be \"poll\" or \"event-fine\", got \"" + name +
+          "\"");
 }
 
 namespace {
 
 /**
  * Scheduler selection when EngineOptions::schedule is unset: the
- * HORNET_SCHEDULE environment variable ("poll", "event" or
- * "event-fine"; unset or empty selects polling). This is how CI runs
- * the whole test suite under every scheduler without touching every
- * call site.
+ * HORNET_SCHEDULE environment variable ("poll" or "event-fine"; unset
+ * or empty selects event-fine). This is how CI runs the whole test
+ * suite under both schedulers without touching every call site.
  */
 Schedule
 env_schedule_default()
 {
     const char *e = std::getenv("HORNET_SCHEDULE");
     if (e == nullptr || *e == '\0')
-        return Schedule::Poll;
+        return Schedule::EventFine;
     return schedule_from_name(e);
 }
 
@@ -53,8 +49,7 @@ void
 Shard::prepare_run(Schedule sched, bool track_done)
 {
     ticks_ = 0;
-    event_ = sched != Schedule::Poll && !tiles_.empty();
-    fine_ = sched == Schedule::EventFine && !tiles_.empty();
+    event_ = sched == Schedule::EventFine && !tiles_.empty();
     track_done_ = track_done;
     // Same-shard buffers are accessed by this shard's thread only for
     // the whole run: select their unsynchronized fast path. Set here
@@ -92,13 +87,11 @@ Shard::prepare_run(Schedule sched, bool track_done)
     for (std::size_t i = 0; i < tiles_.size(); ++i) {
         tiles_[i]->set_sched_slot(i);
         tiles_[i]->set_wake_sink(this);
-        // Component-granularity mode: pinned tiles stay coarse (their
-        // owned links read neighbour state every cycle, outside the
-        // wake seam), everything else ticks only components with
-        // pending events. Tile::set_fine is itself a no-op on pinned
-        // tiles; the check just documents the contract.
-        if (fine_ && !tiles_[i]->pinned_awake())
-            tiles_[i]->set_fine(true);
+        // Component-granularity mode: every tile ticks only components
+        // with pending events, except pinned tiles, on which set_fine
+        // is a no-op (their owned links read neighbour state every
+        // cycle, outside the wake seam).
+        tiles_[i]->set_fine(true);
     }
 }
 
@@ -132,7 +125,6 @@ Shard::finish_run()
     wheel_.reset(now_);
     sleeping_not_done_ = 0;
     event_ = false;
-    fine_ = false;
 }
 
 // ----------------------------------------------------------------------
@@ -511,7 +503,7 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     const bool need_done = opts.stop_when_done;
     // stop_when_done also needs next_event: a pending wake (a flit
     // pushed toward a sleeping tile of another shard) shows up there
-    // and must veto completion, since the event scheduler's busy()
+    // and must veto completion, since the event-fine scheduler's busy()
     // does not scan sleeping tiles.
     const bool need_next = needs.next_event || opts.stop_when_done;
     const bool need_cross = needs.cross_traffic;
@@ -713,7 +705,6 @@ Engine::run(SyncPolicy &policy, const EngineOptions &opts)
     const Cycle end_cycle = shards_[0]->now();
 
     run_stats_ = EngineRunStats{};
-    run_stats_.event_driven = sched != Schedule::Poll;
     run_stats_.event_fine = sched == Schedule::EventFine;
     run_stats_.threads_pinned = pin != common::PinMode::None;
     run_stats_.ff_skipped_cycles = sh.ff_skipped;

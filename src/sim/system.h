@@ -58,13 +58,13 @@ struct RunOptions
      *  together with the adaptive backend. */
     bool batch_handoff = false;
     /**
-     * Shard scheduler by name: "poll" ticks every tile every cycle,
-     * "event" ticks only awake tiles (O(active) per cycle),
-     * "event-fine" additionally skips idle components inside awake
-     * tiles (bitwise identical results for lockstep/single-shard
-     * runs — see EngineOptions::schedule for the loose-window
-     * caveat). Left empty, the HORNET_SCHEDULE environment variable
-     * decides (default poll).
+     * Shard scheduler by name: "poll" ticks every tile every cycle
+     * (the reference oracle), "event-fine" ticks only awake tiles and,
+     * inside them, only components with pending work (bitwise
+     * identical results for lockstep/single-shard runs — see
+     * EngineOptions::schedule for the loose-window caveat). Any other
+     * name is fatal. Left empty, the HORNET_SCHEDULE environment
+     * variable decides (default event-fine).
      */
     std::string schedule;
     /** Also stop as soon as every frontend is done and the network has

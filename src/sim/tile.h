@@ -13,13 +13,15 @@
  * (so their pushes surface next cycle), and the router commits before
  * the frontends, followed by the link arbiters, at the negative edge.
  *
- * For the event-driven scheduler the tile is also the unit of
- * sleeping: it caches its aggregate busy()/next_event()/done() folds
- * (valid until the next tick or wake), and implements Wakeable so that
- * producers pushing into its ingress VC buffers — possibly from
- * another thread — can announce new work via notify_activity(), which
- * invalidates the cache and forwards the wake to the owning shard's
- * scheduler (docs/ENGINE.md, "Event-driven shards").
+ * For the event-fine scheduler the tile is the unit of sleeping, and
+ * so is each component inside an awake tile (set_fine; pinned tiles
+ * tick every component). It caches its aggregate
+ * busy()/next_event()/done() folds (valid until the next tick or
+ * wake), and implements Wakeable so that producers pushing into its
+ * ingress VC buffers — possibly from another thread — can announce
+ * new work via notify_activity(), which invalidates the cache and
+ * forwards the wake to the owning shard's scheduler (docs/ENGINE.md,
+ * "Event-driven shards").
  */
 #ifndef HORNET_SIM_TILE_H
 #define HORNET_SIM_TILE_H
@@ -49,7 +51,7 @@ class Tile : public Wakeable
 {
   public:
     /**
-     * Receiver of tile wake-ups (implemented by the event-driven shard
+     * Receiver of tile wake-ups (implemented by the event-fine shard
      * scheduler). wake() may be invoked from any thread — the producer
      * of a cross-shard flit wakes the *consumer's* tile from its own
      * thread — and must record the wake for application at the
@@ -138,7 +140,7 @@ class Tile : public Wakeable
     }
 
     /**
-     * Exclude this tile from event-driven sleeping: it is ticked every
+     * Exclude this tile from event-fine sleeping: it is ticked every
      * cycle like under the polling scheduler. Set by System for tiles
      * coupled to state outside the wake seam — the endpoints of
      * bidirectional-link arbiters, whose bandwidth split depends on
@@ -216,10 +218,10 @@ class Tile : public Wakeable
 
     /**
      * Lifetime-cumulative count of component ticks actually executed
-     * (both edges of one cycle count once). Under coarse scheduling an
-     * awake tile ticks every component; under fine-grain scheduling
-     * only the awake ones — the engine differences this across a run
-     * to report how many component ticks the scheduler skipped.
+     * (both edges of one cycle count once). A polled or pinned tile
+     * ticks every component; under fine-grain scheduling only the
+     * awake ones — the engine differences this across a run to report
+     * how many component ticks the scheduler skipped.
      */
     std::uint64_t comp_cycles_run() const { return comp_cycles_; }
 

@@ -50,11 +50,11 @@
  *   sync = auto | cycle-accurate | periodic | adaptive    (auto:
  *          cycle-accurate when sync_period is 1, periodic otherwise)
  *   sync_period = <int> (1)        fast_forward = <bool> (false)
- *   schedule = auto | poll | event | event-fine (auto: defer to the
- *          HORNET_SCHEDULE environment variable, default poll; the
- *          event-driven schedulers tick only awake tiles — event-fine
- *          only awake *components* — bitwise identical for
- *          lockstep/single-shard runs)
+ *   schedule = auto | poll | event-fine (auto: defer to the
+ *          HORNET_SCHEDULE environment variable, default event-fine,
+ *          which ticks only awake tiles and, inside them, only awake
+ *          components; poll ticks everything and is the reference —
+ *          bitwise identical for lockstep/single-shard runs)
  *   stop_when_done = <bool> (false)
  *   batch_handoff = <bool> (true iff sync = adaptive)
  *   adaptive_min_period = <int> (1)

@@ -105,6 +105,17 @@ TEST(Arena, ResetRetainsReservationAndReusesChunks)
     EXPECT_EQ(a.bytes_reserved(), reserved);
 }
 
+TEST(Arena, BytesUsedCountsPayloadAndPaddingOnly)
+{
+    // The same figure in every build: ASan red zones are not counted.
+    Arena a;
+    a.allocate(24, 8);  // 24
+    a.allocate(64, 64); // 40 padding + 64
+    a.allocate(1, 1);   // 1
+    a.allocate(8, 8);   // 7 padding + 8
+    EXPECT_EQ(a.bytes_used(), 24u + 40u + 64u + 1u + 7u + 8u);
+}
+
 TEST(Arena, OversizeRequestGetsDedicatedChunk)
 {
     Arena a(/*chunk_bytes=*/256);

@@ -3,7 +3,7 @@
  * Randomized differential-test harness (ISSUE 7): a seeded generator
  * of small random systems — topology, VC configuration, routing
  * scheme, injection process, sync policy, batching, fast-forward —
- * each run under {poll, event, event-fine} x {1, 2, 4 threads} and
+ * each run under {poll, event-fine} x {1, 2, 4 threads} and
  * checked against the sequential polling reference.
  *
  * Determinism envelope (docs/ENGINE.md):
@@ -387,13 +387,11 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
             run_variant(c, Schedule::Poll, 1, &ref_stats);
 
         // One thread is bitwise for every policy and scheduler.
-        EXPECT_EQ(run_variant(c, Schedule::Event, 1), ref);
         EXPECT_EQ(run_variant(c, Schedule::EventFine, 1), ref);
 
         if (c.thread_bitwise()) {
             ++lockstep_configs;
-            for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                                   Schedule::EventFine})
+            for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
                 for (unsigned threads : {2u, 4u})
                     EXPECT_EQ(run_variant(c, sched, threads), ref)
                         << "sched=" << static_cast<int>(sched)
@@ -404,8 +402,7 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
             ASSERT_GT(ref_stats.total.packets_injected, 0u);
             ASSERT_EQ(ref_stats.total.flits_delivered,
                       ref_stats.total.flits_injected);
-            for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                                   Schedule::EventFine})
+            for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
                 for (unsigned threads : {2u, 4u}) {
                     SystemStats s;
                     run_variant(c, sched, threads, &s);
@@ -466,8 +463,7 @@ TEST(Differential, IndirectTopologiesAreBitwiseUnderLockstep)
         SCOPED_TRACE(text);
         const std::string ref =
             run_config_variant(text, Schedule::Poll, 1, horizon);
-        for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                               Schedule::EventFine})
+        for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
             for (unsigned threads : {1u, 2u, 4u})
                 EXPECT_EQ(run_config_variant(text, sched, threads,
                                              horizon),
